@@ -21,6 +21,7 @@
 //! `BENCH_metro.json`.  `fanout` routes 960 CUBIC flows through one shared
 //! aggregation link, pricing the backhaul subsystem's analytic walk.
 
+use crate::sweep::spec::canonical_json;
 use crate::sweep::{CityScale, Fanout};
 use pbe_cellular::channel::MobilityTrace;
 use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
@@ -189,11 +190,13 @@ pub fn fanout_config() -> SimConfig {
         .sim_config()
 }
 
-/// FNV-1a over the debug rendering of the config: cheap, deterministic,
-/// and sensitive to every scenario parameter.  The hash itself lives in
-/// [`pbe_stats::hash`], shared with the artifact result store's point keys.
+/// FNV-1a over the config's canonical JSON ([`canonical_json`]: sorted keys,
+/// serde defaults dropped), the form the artifact store hashes point keys
+/// from: deterministic, sensitive to every scenario parameter, and unmoved
+/// by a later serde-defaulted field left at its default.
 pub fn config_hash(cfg: &SimConfig) -> String {
-    pbe_stats::fnv1a_64_hex(format!("{cfg:?}").as_bytes())
+    let value = serde_json::to_value(cfg).expect("config serializes");
+    pbe_stats::fnv1a_64_hex(canonical_json(&value).as_bytes())
 }
 
 /// Peak resident set size of this process, kilobytes (`VmHWM`), or 0.
@@ -372,6 +375,30 @@ mod tests {
         let b = config_hash(&many_ue_config());
         assert_eq!(a, b);
         assert_ne!(a, config_hash(&city_scale_config()));
+    }
+
+    #[test]
+    fn defaulted_fields_do_not_move_the_config_hash() {
+        let cfg = many_ue_config();
+        let hash = config_hash(&cfg);
+        // `faults` written out at its default, and left out of the JSON
+        // altogether, hash like the config that never set it.
+        let mut explicit = cfg.clone();
+        explicit.faults = Some(pbe_netsim::faults::FaultSchedule::default());
+        assert_eq!(config_hash(&explicit), hash);
+        let mut value = serde_json::to_value(&cfg).unwrap();
+        if let serde_json::Value::Object(fields) = &mut value {
+            fields.retain(|(k, _)| k != "faults");
+        }
+        let omitted: SimConfig = serde_json::from_value(value).unwrap();
+        assert_eq!(config_hash(&omitted), hash);
+        // A non-default schedule is a different scenario.
+        let mut faulted = cfg;
+        faulted.faults = Some(pbe_netsim::faults::FaultSchedule {
+            rlf_detection_ms: Some(50),
+            ..Default::default()
+        });
+        assert_ne!(config_hash(&faulted), hash);
     }
 
     #[test]

@@ -59,4 +59,4 @@ pub use fanout::Fanout;
 pub use pbe_stats::pool::run_indexed;
 pub use report::{OutputFormat, ReportWriter, SweepArgs};
 pub use runner::{ScenarioOutcome, SweepReport, SweepRunner};
-pub use spec::{canonical_json, canonical_value, content_key_of_value, ScenarioSpec, SweepGrid};
+pub use spec::{canonical_json, content_key_of_value, ScenarioSpec, SweepGrid};

@@ -11,6 +11,7 @@ use pbe_netsim::{
 use pbe_stats::rng::derive_seed;
 use pbe_stats::time::Duration;
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write as _;
 
 /// One fully specified point of an evaluation grid.
 ///
@@ -228,7 +229,8 @@ impl ScenarioSpec {
 // Content hashing
 // ---------------------------------------------------------------------------
 
-/// Canonicalize a serialized value tree for content hashing.
+/// Render a serialized value tree in canonical form as compact JSON: the
+/// exact byte string content keys and the perf gate's config hash cover.
 ///
 /// Two rules, applied recursively:
 ///
@@ -239,31 +241,72 @@ impl ScenarioSpec {
 ///    `trajectories: []`) hash identically whether they are written out or
 ///    omitted — and a field added in a later release does not change the key
 ///    of any already-stored point that leaves it at its default.
-pub fn canonical_value(v: &Value) -> Value {
+///
+/// The rendering walks the tree in place, without a canonical copy of it:
+/// a metro-scale `SimConfig` serializes to hundreds of megabytes.
+pub fn canonical_json(v: &Value) -> String {
+    let mut out = String::new();
+    write_canonical(v, &mut out);
+    out
+}
+
+fn write_canonical(v: &Value, out: &mut String) {
     match v {
-        Value::Array(items) => Value::Array(items.iter().map(canonical_value).collect()),
-        Value::Object(entries) => {
-            let mut canon: Vec<(String, Value)> = entries
-                .iter()
-                .map(|(k, val)| (k.clone(), canonical_value(val)))
-                .filter(|(_, val)| match val {
-                    Value::Null => false,
-                    Value::Array(items) => !items.is_empty(),
-                    Value::Object(fields) => !fields.is_empty(),
-                    _ => true,
-                })
-                .collect();
-            canon.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(canon)
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_canonical(item, out);
+            }
+            out.push(']');
         }
-        other => other.clone(),
+        Value::Object(entries) => {
+            let mut kept: Vec<&(String, Value)> =
+                entries.iter().filter(|(_, val)| !is_elided(val)).collect();
+            kept.sort_by(|a, b| a.0.cmp(&b.0));
+            out.push('{');
+            for (i, (key, val)) in kept.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_str(key, out);
+                out.push(':');
+                write_canonical(val, out);
+            }
+            out.push('}');
+        }
+        Value::Str(text) => write_str(text, out),
+        Value::U64(n) => write!(out, "{n}").expect("writing to a String"),
+        Value::I64(n) => write!(out, "{n}").expect("writing to a String"),
+        leaf => out.push_str(&serde_json::to_string(leaf).expect("leaf renders")),
     }
 }
 
-/// Render a value tree in canonical form (see [`canonical_value`]) as
-/// compact JSON — the exact byte string the content key hashes.
-pub fn canonical_json(v: &Value) -> String {
-    serde_json::to_string(&canonical_value(v)).expect("canonical value renders")
+/// A JSON string literal.  Printable ASCII other than `"` and `\\` needs no
+/// escaping (field names, scheme names), so it skips the JSON writer.
+fn write_str(text: &str, out: &mut String) {
+    if text
+        .bytes()
+        .all(|b| (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\')
+    {
+        out.push('"');
+        out.push_str(text);
+        out.push('"');
+    } else {
+        out.push_str(&serde_json::to_string(&text).expect("string renders"));
+    }
+}
+
+/// Whether a value's canonical form is `null`, `[]` or `{}` (rule 2).
+fn is_elided(v: &Value) -> bool {
+    match v {
+        Value::Null => true,
+        Value::Array(items) => items.is_empty(),
+        Value::Object(entries) => entries.iter().all(|(_, val)| is_elided(val)),
+        _ => false,
+    }
 }
 
 /// Content key of an already-serialized value tree: 128-bit FNV-1a over the
@@ -450,6 +493,12 @@ mod tests {
             canonical_json(&v),
             r#"{"alpha":{"a":2},"nested":[{"x":1}],"zeta":1}"#
         );
+        // An object left empty by rule 2 is itself dropped; array items
+        // never are, and keys are escaped like any JSON string.
+        let v =
+            serde_json::parse(r#"{"o":{"p":{"q":null},"r":[]},"a":[null,{"e":[]},[]],"k\"":1.5}"#)
+                .unwrap();
+        assert_eq!(canonical_json(&v), r#"{"a":[null,{},[]],"k\"":1.5}"#);
     }
 
     #[test]

@@ -74,8 +74,9 @@ pub struct PbeClient {
     estimator: CapacityEstimator,
     translator: RateTranslator,
     state: BottleneckState,
-    /// (time, delay_ms) samples used for the Dprop minimum window.
-    delay_samples: Vec<(Instant, f64)>,
+    /// Minimum one-way delay over `dprop_window`: the propagation delay
+    /// `Dprop`.
+    dprop: WindowedMin,
     /// Minimum one-way delay over the last RTprop: the *standing* delay.  A
     /// HARQ spike affects a few packets and leaves the minimum alone; a real
     /// backlog raises every sample, minimum included.
@@ -104,13 +105,14 @@ impl PbeClient {
         let monitor =
             CellStatusMonitor::new(MonitorConfig::new(config.own_rnti, config.cells.clone()));
         let translator = RateTranslator::new(config.protocol_overhead);
+        let dprop = WindowedMin::new(config.dprop_window);
         PbeClient {
             config,
             monitor,
             estimator: CapacityEstimator::new(),
             translator,
             state: BottleneckState::Wireless,
-            delay_samples: Vec::new(),
+            dprop,
             standing_delay: WindowedMin::new(Duration::from_millis(40)),
             consecutive_over: 0,
             consecutive_under: 0,
@@ -193,10 +195,7 @@ impl PbeClient {
 
     /// One-way propagation-delay estimate (minimum over the window), ms.
     pub fn dprop_ms(&self) -> f64 {
-        self.delay_samples
-            .iter()
-            .map(|(_, d)| *d)
-            .fold(f64::INFINITY, f64::min)
+        self.dprop.get()
     }
 
     /// The switching threshold `Dth` in ms.
@@ -276,17 +275,10 @@ impl PbeClient {
             .max(2.0) as u64
     }
 
-    fn prune_delay_window(&mut self, now: Instant) {
-        let window = self.config.dprop_window;
-        self.delay_samples
-            .retain(|(t, _)| now.saturating_since(*t) <= window);
-    }
-
     /// Process one received data packet and produce the feedback to piggyback
     /// on its acknowledgement.
     pub fn on_packet(&mut self, now: Instant, one_way_delay_ms: f64) -> PbeFeedback {
-        self.delay_samples.push((now, one_way_delay_ms));
-        self.prune_delay_window(now);
+        self.dprop.update(now, one_way_delay_ms);
 
         let dth = self.delay_threshold_ms();
         let npkt = self.npkt_threshold();
@@ -425,6 +417,27 @@ mod tests {
         c.on_packet(Instant::from_millis(12), 39.0);
         assert_eq!(c.dprop_ms(), 35.0);
         assert_eq!(c.delay_threshold_ms(), 35.0 + 24.0 + 3.0);
+    }
+
+    #[test]
+    fn dprop_expires_after_its_window_and_stays_bounded() {
+        let mut c = client();
+        c.on_packet(Instant::from_millis(0), 20.0);
+        // One 35 ms packet per millisecond: the 20 ms sample is the minimum
+        // for the whole 10 s window (inclusive) and gone right after it.
+        // Each 35 ms sample evicts the previous one, so at most the 20 ms
+        // sample and the latest are retained.
+        for ms in 1..=10_000u64 {
+            c.on_packet(Instant::from_millis(ms), 35.0);
+            assert_eq!(c.dprop_ms(), 20.0, "at {ms} ms");
+            assert!(c.dprop.retained() <= 2, "at {ms} ms");
+        }
+        for ms in 10_001..=25_000u64 {
+            c.on_packet(Instant::from_millis(ms), 35.0);
+            assert_eq!(c.dprop_ms(), 35.0, "at {ms} ms");
+            // A steady delay keeps only the latest sample.
+            assert_eq!(c.dprop.retained(), 1, "at {ms} ms");
+        }
     }
 
     #[test]

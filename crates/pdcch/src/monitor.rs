@@ -15,11 +15,27 @@
 //!   measured from its own grants (TBS / allocated PRBs), and
 //! * the fraction of this user's grants that were HARQ retransmissions (the
 //!   new-data-indicator bit), used by the cross-layer rate translation.
+//!
+//! The window is maintained incrementally.  Each cell keeps, beside its
+//! queue of per-subframe records, running integer sums over exactly the
+//! records in the queue: own, idle and other PRBs, own grants and own
+//! retransmissions, and per RNTI the number of DCIs seen (`Ta`, one per
+//! message, uplink grants included) and the PRBs they carried (uplink grants
+//! carry 0).  A record adds to the sums when it is pushed and subtracts when
+//! it ages out; an RNTI leaves the map when its count reaches 0, so the map
+//! holds exactly the users detected in the window.  A snapshot divides the
+//! sums by the window length and walks the distinct users once, so
+//! ingesting costs O(messages) and a snapshot O(distinct users), whatever
+//! the window length.  The integer sums convert to `f64` exactly, so the
+//! averages equal a from-scratch recomputation bit for bit.  A shorter
+//! window set by [`CellStatusMonitor::set_window_subframes`] takes effect at
+//! the next [`CellStatusMonitor::ingest`].
 
 use crate::fusion::FusedSubframe;
 use pbe_cellular::config::{CellId, Rnti};
 use pbe_cellular::dci::DciMessage;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Static configuration of the monitor.
@@ -95,11 +111,69 @@ struct SubframeRecord {
     own_grants: Vec<(u16, u32, bool)>,
 }
 
+/// One cell's window and the running sums over it (see the module docs).
 #[derive(Debug, Default)]
 struct CellTracker {
     total_prbs: u16,
     window: VecDeque<SubframeRecord>,
     last_bits_per_prb: Option<f64>,
+    own_prbs: u64,
+    idle_prbs: u64,
+    other_prbs: u64,
+    own_grants: u64,
+    own_retx: u64,
+    /// Per RNTI in the window: (active subframes `Ta`, total PRBs).
+    users: HashMap<Rnti, (u64, u64)>,
+    /// The last record aged out, reused (allocations included) by the next
+    /// `ingest`.
+    spare: Option<SubframeRecord>,
+}
+
+impl CellTracker {
+    fn new(total_prbs: u16) -> Self {
+        CellTracker {
+            total_prbs,
+            ..CellTracker::default()
+        }
+    }
+
+    fn push_back(&mut self, record: SubframeRecord) {
+        self.own_prbs += u64::from(record.own_prbs);
+        self.idle_prbs += u64::from(record.idle_prbs);
+        self.other_prbs += u64::from(record.other_prbs);
+        for &(rnti, prbs) in &record.users {
+            let e = self.users.entry(rnti).or_insert((0, 0));
+            e.0 += 1;
+            e.1 += u64::from(prbs);
+        }
+        for &(_, _, retx) in &record.own_grants {
+            self.own_grants += 1;
+            self.own_retx += u64::from(retx);
+        }
+        self.window.push_back(record);
+    }
+
+    fn pop_front(&mut self) -> Option<SubframeRecord> {
+        let record = self.window.pop_front()?;
+        self.own_prbs -= u64::from(record.own_prbs);
+        self.idle_prbs -= u64::from(record.idle_prbs);
+        self.other_prbs -= u64::from(record.other_prbs);
+        for &(rnti, prbs) in &record.users {
+            if let Entry::Occupied(mut e) = self.users.entry(rnti) {
+                let (ta, total) = e.get_mut();
+                *ta -= 1;
+                *total -= u64::from(prbs);
+                if *ta == 0 {
+                    e.remove();
+                }
+            }
+        }
+        for &(_, _, retx) in &record.own_grants {
+            self.own_grants -= 1;
+            self.own_retx -= u64::from(retx);
+        }
+        Some(record)
+    }
 }
 
 /// The monitor itself: one tracker per watched cell.
@@ -115,15 +189,7 @@ impl CellStatusMonitor {
         let trackers = config
             .cells
             .iter()
-            .map(|(cell, prbs)| {
-                (
-                    *cell,
-                    CellTracker {
-                        total_prbs: *prbs,
-                        ..CellTracker::default()
-                    },
-                )
-            })
+            .map(|(cell, prbs)| (*cell, CellTracker::new(*prbs)))
             .collect();
         CellStatusMonitor { config, trackers }
     }
@@ -145,13 +211,7 @@ impl CellStatusMonitor {
             return;
         }
         self.config.cells.push((cell, total_prbs));
-        self.trackers.insert(
-            cell,
-            CellTracker {
-                total_prbs,
-                ..CellTracker::default()
-            },
-        );
+        self.trackers.insert(cell, CellTracker::new(total_prbs));
     }
 
     /// Stop tracking a cell (after a carrier deactivation).  The primary cell
@@ -191,41 +251,43 @@ impl CellStatusMonitor {
         self.config.cells.clear();
         self.config.cells.push((cell, total_prbs));
         self.trackers.clear();
-        self.trackers.insert(
-            cell,
-            CellTracker {
-                total_prbs,
-                ..CellTracker::default()
-            },
-        );
+        self.trackers.insert(cell, CellTracker::new(total_prbs));
     }
 
     /// Fold one fused subframe of decoded control messages into the window.
     pub fn ingest(&mut self, fused: &FusedSubframe) {
         for (cell, tracker) in self.trackers.iter_mut() {
+            let mut record = tracker.spare.take().unwrap_or_default();
             let messages = fused.cell_messages(*cell);
-            let record =
-                Self::build_record(&self.config, tracker.total_prbs, fused.subframe, messages);
+            Self::fill_record(
+                &mut record,
+                &self.config,
+                tracker.total_prbs,
+                fused.subframe,
+                messages,
+            );
             if let Some(rate) = Self::record_bits_per_prb(&record) {
                 tracker.last_bits_per_prb = Some(rate);
             }
-            tracker.window.push_back(record);
+            tracker.push_back(record);
             while tracker.window.len() > self.config.window_subframes {
-                tracker.window.pop_front();
+                tracker.spare = tracker.pop_front();
             }
         }
     }
 
-    fn build_record(
+    fn fill_record(
+        record: &mut SubframeRecord,
         config: &MonitorConfig,
         total_prbs: u16,
         subframe: u64,
         messages: &[DciMessage],
-    ) -> SubframeRecord {
-        let mut record = SubframeRecord {
-            subframe,
-            ..SubframeRecord::default()
-        };
+    ) {
+        record.subframe = subframe;
+        record.own_prbs = 0;
+        record.other_prbs = 0;
+        record.users.clear();
+        record.own_grants.clear();
         let mut allocated: u32 = 0;
         for m in messages {
             if !m.format.is_downlink_assignment() {
@@ -246,7 +308,6 @@ impl CellStatusMonitor {
             }
         }
         record.idle_prbs = total_prbs.saturating_sub(allocated.min(u32::from(total_prbs)) as u16);
-        record
     }
 
     fn record_bits_per_prb(record: &SubframeRecord) -> Option<f64> {
@@ -282,33 +343,13 @@ impl CellStatusMonitor {
                 own_retransmission_fraction: 0.0,
             });
         }
-        let mut own = 0.0;
-        let mut idle = 0.0;
-        let mut other = 0.0;
-        let mut per_user: HashMap<Rnti, (u64, u64)> = HashMap::new(); // (active subframes, total prbs)
-        let mut own_grants = 0u64;
-        let mut own_retx = 0u64;
-        for rec in &tracker.window {
-            own += f64::from(rec.own_prbs);
-            idle += f64::from(rec.idle_prbs);
-            other += f64::from(rec.other_prbs);
-            for (rnti, prbs) in &rec.users {
-                let e = per_user.entry(*rnti).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += u64::from(*prbs);
-            }
-            for (_, _, retx) in &rec.own_grants {
-                own_grants += 1;
-                own_retx += u64::from(*retx);
-            }
-        }
         let nf = n as f64;
-        let detected_users = per_user.len();
+        let detected_users = tracker.users.len();
         // Ta / Pa filter: a competitor counts only if it was active for more
         // than `ta_threshold` subframes AND averaged more than `pa_threshold`
         // PRBs while active.  The user itself always counts.
         let mut active_users = 0usize;
-        for (rnti, (ta, total_prbs)) in &per_user {
+        for (rnti, (ta, total_prbs)) in &tracker.users {
             if *rnti == self.config.own_rnti {
                 continue;
             }
@@ -329,16 +370,16 @@ impl CellStatusMonitor {
             cell,
             subframe: tracker.window.back().map(|r| r.subframe).unwrap_or(0),
             total_prbs: tracker.total_prbs,
-            own_prbs: own / nf,
-            idle_prbs: idle / nf,
-            other_prbs: other / nf,
+            own_prbs: tracker.own_prbs as f64 / nf,
+            idle_prbs: tracker.idle_prbs as f64 / nf,
+            other_prbs: tracker.other_prbs as f64 / nf,
             active_users,
             detected_users,
             own_bits_per_prb,
-            own_retransmission_fraction: if own_grants == 0 {
+            own_retransmission_fraction: if tracker.own_grants == 0 {
                 0.0
             } else {
-                own_retx as f64 / own_grants as f64
+                tracker.own_retx as f64 / tracker.own_grants as f64
             },
         })
     }
@@ -358,6 +399,139 @@ mod tests {
     use super::*;
     use pbe_cellular::dci::DciFormat;
     use pbe_cellular::mcs::McsIndex;
+    use proptest::prelude::*;
+
+    /// The O(window × users) snapshot the running sums replaced: rebuilds
+    /// every aggregate from the window's records.  Kept as the reference for
+    /// the equivalence property below.
+    fn reference_snapshot(m: &CellStatusMonitor, cell: CellId) -> Option<CellSnapshot> {
+        let tracker = m.trackers.get(&cell)?;
+        let n = tracker.window.len();
+        if n == 0 {
+            return Some(CellSnapshot {
+                cell,
+                subframe: 0,
+                total_prbs: tracker.total_prbs,
+                own_prbs: 0.0,
+                idle_prbs: f64::from(tracker.total_prbs),
+                other_prbs: 0.0,
+                active_users: 1,
+                detected_users: 0,
+                own_bits_per_prb: m.config.default_bits_per_prb,
+                own_retransmission_fraction: 0.0,
+            });
+        }
+        let mut own = 0.0;
+        let mut idle = 0.0;
+        let mut other = 0.0;
+        let mut per_user: HashMap<Rnti, (u64, u64)> = HashMap::new();
+        let mut own_grants = 0u64;
+        let mut own_retx = 0u64;
+        for rec in &tracker.window {
+            own += f64::from(rec.own_prbs);
+            idle += f64::from(rec.idle_prbs);
+            other += f64::from(rec.other_prbs);
+            for (rnti, prbs) in &rec.users {
+                let e = per_user.entry(*rnti).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += u64::from(*prbs);
+            }
+            for (_, _, retx) in &rec.own_grants {
+                own_grants += 1;
+                own_retx += u64::from(*retx);
+            }
+        }
+        let nf = n as f64;
+        let mut active_users = 0usize;
+        for (rnti, (ta, total_prbs)) in &per_user {
+            if *rnti == m.config.own_rnti {
+                continue;
+            }
+            let pa = if *ta == 0 {
+                0.0
+            } else {
+                *total_prbs as f64 / *ta as f64
+            };
+            if *ta > m.config.ta_threshold && pa > m.config.pa_threshold {
+                active_users += 1;
+            }
+        }
+        active_users += 1;
+        Some(CellSnapshot {
+            cell,
+            subframe: tracker.window.back().map(|r| r.subframe).unwrap_or(0),
+            total_prbs: tracker.total_prbs,
+            own_prbs: own / nf,
+            idle_prbs: idle / nf,
+            other_prbs: other / nf,
+            active_users,
+            detected_users: per_user.len(),
+            own_bits_per_prb: tracker
+                .last_bits_per_prb
+                .unwrap_or(m.config.default_bits_per_prb),
+            own_retransmission_fraction: if own_grants == 0 {
+                0.0
+            } else {
+                own_retx as f64 / own_grants as f64
+            },
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn incremental_snapshots_match_the_reference(
+            steps in proptest::collection::vec(
+                (
+                    0u8..10,
+                    0u16..4,
+                    1usize..24,
+                    // (cell, rnti index, PRBs, kind) of each decoded DCI.
+                    proptest::collection::vec((0u16..4, 0u8..5, 0u16..40, 0u8..6), 0..7),
+                ),
+                1..160,
+            ),
+        ) {
+            // RNTI 0 is the user itself; the other four compete.  Five RNTIs
+            // over up to six messages repeat RNTIs within a subframe.
+            let rntis = [OWN, OTHER, CTRL, Rnti(0x0400), Rnti(0x0500)];
+            let mut m = monitor();
+            let mut subframe = 0u64;
+            for (op, cell, param, dcis) in steps {
+                let cell = CellId(cell);
+                let prbs = [25u16, 50, 75, 100][param % 4];
+                match op {
+                    // Kind 0 is an uplink grant, kind 1 a retransmission.
+                    0..=5 => {
+                        let mut per_cell: HashMap<CellId, Vec<DciMessage>> = HashMap::new();
+                        for (c, r, p, kind) in dcis {
+                            let mut d = msg(rntis[usize::from(r)], p, subframe, kind != 1);
+                            d.cell = CellId(c);
+                            if kind == 0 {
+                                d.format = DciFormat::Format0;
+                            }
+                            per_cell.entry(CellId(c)).or_default().push(d);
+                        }
+                        m.ingest(&FusedSubframe { subframe, per_cell });
+                        subframe += 1;
+                    }
+                    6 => m.set_window_subframes(param),
+                    7 => m.add_cell(cell, prbs),
+                    8 => m.remove_cell(cell),
+                    _ => m.handover_to(cell, prbs),
+                }
+                let reference: Vec<_> = m
+                    .config
+                    .cells
+                    .iter()
+                    .filter_map(|(c, _)| reference_snapshot(&m, *c))
+                    .collect();
+                prop_assert_eq!(m.snapshots(), reference);
+                for c in 0..4 {
+                    prop_assert_eq!(m.snapshot(CellId(c)), reference_snapshot(&m, CellId(c)));
+                }
+            }
+        }
+    }
 
     const OWN: Rnti = Rnti(0x0100);
     const OTHER: Rnti = Rnti(0x0200);
